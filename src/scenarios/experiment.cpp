@@ -670,20 +670,16 @@ LatencyOutcome run_ffwrite_latency(ScenarioKind kind, std::size_t iterations,
 }
 
 // ===========================================================================
-// API v2 crossing census
+// Census legs: one Morello endpoint, its peer, and the virtual-time
+// lockstep that steps them
 // ===========================================================================
 
 namespace {
 
-/// The measured-call loop both census scenarios share: wrap every write in
-/// the clock_gettime envelope of the Fig. 4 methodology (in a cVM those
-/// reads trampoline — they are part of what a measured ff_write costs the
-/// application), submit batch iovecs per call, and drive/yield as the
-/// scenario dictates via `turn` (returns true when the loop may continue).
-/// Crossing counters (`entry_now` = sealed-entry jumps, `tramp_now` =
-/// trampoline syscalls; either may be empty) are sampled AROUND each
-/// measured call, so idle polling and connection setup — real-time noise —
-/// never pollute the per-call attribution.
+/// Crossing counters of a census leg (`entry_now` = sealed-entry jumps,
+/// `tramp_now` = the app compartment's trampoline syscalls; either may be
+/// empty), sampled AROUND each measured call so idle polling and
+/// connection setup never pollute the per-call attribution.
 struct CensusProbes {
   std::function<std::uint64_t()> entry_now;
   std::function<std::uint64_t()> tramp_now;
@@ -691,6 +687,192 @@ struct CensusProbes {
   std::uint64_t tramp_crossings = 0;
 };
 
+/// Rounds the census lockstep runs at one virtual instant before it forces
+/// the clock forward (the cap of s2bench's lockstep, kRoundsPerInstant). A
+/// loop that counts its own re-probes as progress — a uring TX app
+/// answered -ENOBUFS until ACKs free the pool — would otherwise hold the
+/// clock at one instant for ever, and the ACKs never arrive.
+constexpr std::uint32_t kCensusRoundsPerInstant = 16;
+
+/// The Morello endpoint of one census leg and the peer on wire 0, stepped
+/// in virtual-time lockstep on the app compartment's thread.
+///
+/// Scenario 1: app and stack share one cVM; the measured window's
+/// crossings are the trampolined timing syscalls (paper §IV: "in cVMs we
+/// can't directly access the timers"). Scenario 2 (uncontended): the app
+/// cVM reaches cVM1's stack through sealed entries and the service's
+/// compartment mutex, so the sealed-entry jumps count as well.
+///
+/// Lockstep: after every iteration of the census loop, its turn callback
+/// runs one stack iteration (Scenario 2: inside cVM1, under the service's
+/// mutex, parking attached urings when idle — Scenario2Service's loop turn
+/// without its wall-clock polling window), then one peer iteration; a
+/// round in which nobody progressed advances the virtual clock to the
+/// earliest deadline of stack and peer (capped at the idle heartbeat).
+/// Every count a census takes — loans per drain, doorbells, crossings —
+/// then depends on seed and virtual time only, never on host thread
+/// scheduling. The app's calls still cross their real paths; the mutex is
+/// simply never contended, since mutex contention is what fig6 and
+/// bench_ablation_locking measure, not the census.
+class CensusLeg {
+ public:
+  /// `name` suffixes the compartment names ("cVM1-<name>" for Scenario 1,
+  /// "cVM2-<name>" for the Scenario 2 app). `kind` must be kScenario1 or
+  /// kScenario2Uncontended.
+  CensusLeg(MorelloTestbed& tb, ScenarioKind kind, const InstanceConfig& icfg,
+            const std::string& name)
+      : clock_(tb.clock()), peer_(tb.make_peer(0)) {
+    iv::Intravisor& iv = tb.intravisor();
+    if (kind == ScenarioKind::kScenario1) {
+      s1_ = std::make_unique<Scenario1Cvm>(iv, tb.card(), 0, icfg,
+                                           "cVM1-" + name);
+      app_ = &s1_->cvm();
+      inst_ = &s1_->instance();
+      ops_ = &s1_->ops();
+    } else {
+      cvm1_ = &iv.create_cvm("cVM1", 96u << 20);
+      s2_inst_ = std::make_unique<FullStackInstance>(
+          tb.card(), 0, cvm1_->heap(), clock_, icfg);
+      inst_ = s2_inst_.get();
+      svc_ = std::make_unique<Scenario2Service>(iv, *cvm1_, *inst_);
+      app_ = &iv.create_cvm("cVM2-" + name, 16u << 20);
+      proxy_ = svc_->make_proxy_ops(*app_);
+      ops_ = proxy_.get();
+      probes_.entry_now = [&iv] { return iv.entries().crossings(); };
+    }
+    probes_.tramp_now = [app = app_] { return app->trampoline().crossings(); };
+  }
+  CensusLeg(const CensusLeg&) = delete;
+  CensusLeg& operator=(const CensusLeg&) = delete;
+
+  [[nodiscard]] PeerHost& peer() noexcept { return peer_; }
+  [[nodiscard]] apps::FfOps& ops() noexcept { return *ops_; }
+  [[nodiscard]] iv::MuslLibc& libc() noexcept { return app_->libc(); }
+  [[nodiscard]] fstack::FfStack& stack() noexcept { return inst_->stack(); }
+  [[nodiscard]] CensusProbes& probes() noexcept { return probes_; }
+  [[nodiscard]] machine::CapView alloc(std::size_t n) {
+    return app_->alloc(n);
+  }
+
+  /// Run `body` on the app compartment's thread, then let the FIN exchange
+  /// drain; returns once both are done.
+  void run(const std::function<void()>& body) {
+    app_->start([this, &body] {
+      body();
+      drain();
+    });
+    app_->join();
+  }
+
+  /// The census loops' turn callback: one lockstep round; never gives up.
+  [[nodiscard]] std::function<bool(bool)> turn() {
+    return [this](bool app_progress) {
+      step(app_progress);
+      return true;
+    };
+  }
+
+  [[nodiscard]] std::uint64_t crossings() const noexcept {
+    return probes_.entry_crossings + probes_.tramp_crossings;
+  }
+  /// The crossings priced by the Morello-calibrated CostModel per MiB. A
+  /// sealed-entry ff_* jump pays the full path the paper prices at ~200 ns
+  /// over baseline: kernel entry + trampoline indirections + domain switch.
+  [[nodiscard]] double modeled_ns_per_mib(std::uint64_t bytes) const {
+    const sim::CostModel price = sim::CostModel::morello();
+    const double mib = static_cast<double>(bytes) / (1024.0 * 1024.0);
+    const auto tramp = static_cast<double>(price.trampoline_crossing().count());
+    const double entry =
+        tramp + static_cast<double>(price.domain_switch_extra.count());
+    return mib > 0
+               ? (static_cast<double>(probes_.entry_crossings) * entry +
+                  static_cast<double>(probes_.tramp_crossings) * tramp) /
+                     mib
+               : 0.0;
+  }
+
+ private:
+  /// One round after an app iteration; returns whether any party progressed.
+  bool step(bool app_progress) {
+    bool progress = stack_turn();
+    progress |= peer_.step();
+    progress |= app_progress;
+    advance(progress);
+    return progress;
+  }
+
+  bool stack_turn() {
+    if (svc_ == nullptr) return inst_->run_once();  // Scenario 1: own stack
+    return cvm1_->enter([this] {
+      iv::CompartmentLockGuard lk(svc_->mutex());
+      const bool progress = inst_->run_once();
+      if (!progress) inst_->stack().urings_set_parked(true);
+      return progress;
+    });
+  }
+
+  void advance(bool progress) {
+    const bool capped = ++same_instant_ >= kCensusRoundsPerInstant;
+    if (progress && !capped) return;
+    const sim::Ns now = clock_.now();
+    std::optional<sim::Ns> d = inst_->next_deadline();
+    const std::optional<sim::Ns> pd = peer_.next_deadline();
+    if (pd && (!d || *pd < *d)) d = pd;
+    sim::Ns target = capped_deadline(d, now, kHeartbeat);
+    if (target <= now) {
+      // A deadline already due re-polls at this instant; only a capped
+      // instant forces time forward.
+      if (!capped) return;
+      target = now + sim::Ns{1};
+    }
+    same_instant_ = 0;
+    clock_.advance_to(target);
+  }
+
+  /// Step until no party progressed for one heartbeat of virtual time.
+  void drain() {
+    sim::Ns last_busy = clock_.now();
+    for (int i = 0; i < 10000; ++i) {
+      if (step(false)) {
+        last_busy = clock_.now();
+      } else if (clock_.now() - last_busy >= kHeartbeat) {
+        return;
+      }
+    }
+  }
+
+  sim::VirtualClock& clock_;
+  PeerHost& peer_;
+  std::unique_ptr<Scenario1Cvm> s1_;
+  iv::CVM* cvm1_ = nullptr;
+  std::unique_ptr<FullStackInstance> s2_inst_;
+  std::unique_ptr<Scenario2Service> svc_;
+  std::unique_ptr<apps::FfOps> proxy_;
+  iv::CVM* app_ = nullptr;
+  FullStackInstance* inst_ = nullptr;
+  apps::FfOps* ops_ = nullptr;
+  CensusProbes probes_;
+  std::uint32_t same_instant_ = 0;
+};
+
+[[nodiscard]] bool census_kind(ScenarioKind kind) noexcept {
+  return kind == ScenarioKind::kScenario1 ||
+         kind == ScenarioKind::kScenario2Uncontended;
+}
+
+}  // namespace
+
+// ===========================================================================
+// API v2 crossing census
+// ===========================================================================
+
+namespace {
+
+/// The measured-call loop of the TX census: wrap every write in the
+/// clock_gettime envelope of the Fig. 4 methodology (in a cVM those reads
+/// trampoline — they are part of what a measured ff_write costs the
+/// application), submit batch iovecs per call, and hand each iteration to
+/// `turn` (returns true when the loop may continue).
 std::uint64_t census_write_loop(apps::FfOps& ops, iv::MuslLibc& libc,
                                 const machine::CapView& buf,
                                 std::uint64_t total_bytes, std::size_t batch,
@@ -756,18 +938,11 @@ CrossingCensus run_ffwrite_crossing_census(ScenarioKind kind,
                                            std::size_t batch,
                                            const TestbedOptions& opt) {
   CrossingCensus out;
+  if (!census_kind(kind)) return out;
   batch = std::min<std::size_t>(std::max<std::size_t>(batch, 1), 64);
   const std::size_t wsize = 1448;
-  const sim::CostModel price = sim::CostModel::morello();
-  const double mib =
-      static_cast<double>(total_bytes) / (1024.0 * 1024.0);
 
   MorelloTestbed tb(opt);
-  auto& iv = tb.intravisor();
-  auto& clock = tb.clock();
-  auto& arb = tb.arbiter();
-  std::atomic<bool> stop{false};
-
   // The census measures the cost of *queueing* a byte volume, so the send
   // buffer holds the whole volume: backpressure would make every call —
   // batched or not — move only the drained window and mask the per-call
@@ -776,97 +951,16 @@ CrossingCensus run_ffwrite_crossing_census(ScenarioKind kind,
   icfg.tcp.sndbuf_bytes =
       std::max<std::size_t>(icfg.tcp.sndbuf_bytes, total_bytes + (64u << 10));
 
-  if (kind == ScenarioKind::kScenario1) {
-    arb.expect_participants(2);
-    PeerHost& peer = tb.make_peer(0);
-    peer.serve_iperf(kIperfPort, 1);  // discard sink
-    peer.start();
-    Scenario1Cvm s1(iv, tb.card(), 0, icfg, "cVM1-census");
-    // Scenario 1's crossings in the measured window are the trampolined
-    // timing syscalls (paper §IV: "in cVMs we can't directly access the
-    // timers"); each costs a full kernel entry + trampoline.
-    CensusProbes probes;
-    probes.tramp_now = [&] { return s1.cvm().trampoline().crossings(); };
-    s1.cvm().start([&] {
-      FullStackInstance& inst = s1.instance();
-      machine::CapView buf = s1.alloc(wsize);
-      sim::Participant part(arb, "census-probe");
-      out.bytes = census_write_loop(
-          s1.ops(), s1.libc(), buf, total_bytes, batch, wsize,
-          &out.api_calls, &probes, [&](bool wrote) {
-            const std::uint64_t token = part.prepare();
-            const bool progress = inst.run_once() || wrote;
-            if (!progress) {
-              part.wait(token, capped_deadline(inst.next_deadline(),
-                                               clock.now(), kProbeHeartbeat));
-            }
-            return true;
-          });
-      for (int i = 0; i < 10000; ++i) {
-        if (!inst.run_once()) break;  // drain FIN exchange
-      }
-    });
-    s1.cvm().join();
-    peer.request_stop();
-    peer.join();
-    out.crossings = probes.tramp_crossings;
-    out.modeled_ns_per_mib =
-        mib > 0 ? static_cast<double>(out.crossings) *
-                      static_cast<double>(price.trampoline_crossing().count()) /
-                      mib
-                : 0.0;
-    return out;
-  }
-
-  if (kind != ScenarioKind::kScenario2Uncontended) return out;
-
-  // ---- Scenario 2 (uncontended): writes cross into the network cVM ----
-  arb.expect_participants(3);
-  PeerHost& peer = tb.make_peer(0);
-  peer.serve_iperf(kIperfPort, 1);
-  peer.start();
-  iv::CVM& cvm1 = iv.create_cvm("cVM1", 96u << 20);
-  FullStackInstance inst(tb.card(), 0, cvm1.heap(), clock, icfg);
-  Scenario2Service svc(iv, cvm1, inst);
-  cvm1.start([&] { svc.run_loop(stop, arb); });
-
-  iv::CVM& app = iv.create_cvm("cVM2-census", 16u << 20);
-  auto ops = svc.make_proxy_ops(app);
-  CensusProbes probes;
-  probes.entry_now = [&] { return iv.entries().crossings(); };
-  probes.tramp_now = [&] { return app.trampoline().crossings(); };
-  app.start([&] {
-    machine::CapView buf = app.alloc(wsize);
-    sim::Participant part(arb, "census-probe");
-    out.bytes = census_write_loop(
-        *ops, app.libc(), buf, total_bytes, batch, wsize, &out.api_calls,
-        &probes, [&](bool wrote) {
-          const std::uint64_t token = part.prepare();
-          if (!wrote) part.wait(token, clock.now() + kProbeHeartbeat);
-          return true;
-        });
+  CensusLeg leg(tb, kind, icfg, "census");
+  leg.peer().serve_iperf(kIperfPort, 1);  // discard sink
+  leg.run([&] {
+    const machine::CapView buf = leg.alloc(wsize);
+    out.bytes = census_write_loop(leg.ops(), leg.libc(), buf, total_bytes,
+                                  batch, wsize, &out.api_calls, &leg.probes(),
+                                  leg.turn());
   });
-  app.join();
-  stop.store(true);
-  arb.kick();
-  cvm1.join();
-  peer.request_stop();
-  peer.join();
-
-  const std::uint64_t entry_crossings = probes.entry_crossings;
-  const std::uint64_t tramp_crossings = probes.tramp_crossings;
-  out.crossings = entry_crossings + tramp_crossings;
-  // A sealed-entry ff_* jump pays the full path the paper prices at ~200 ns
-  // over baseline: kernel entry + trampoline indirections + domain switch.
-  const double entry_cost = static_cast<double>(
-      price.trampoline_crossing().count() + price.domain_switch_extra.count());
-  out.modeled_ns_per_mib =
-      mib > 0
-          ? (static_cast<double>(entry_crossings) * entry_cost +
-             static_cast<double>(tramp_crossings) *
-                 static_cast<double>(price.trampoline_crossing().count())) /
-                mib
-          : 0.0;
+  out.crossings = leg.crossings();
+  out.modeled_ns_per_mib = leg.modeled_ns_per_mib(total_bytes);
   return out;
 }
 
@@ -885,8 +979,10 @@ constexpr std::size_t kRxZcBatch = 32;
 // that fills its whole burst halves the window (the queue is outrunning
 // the receiver — harvest sooner), a short drain doubles it (let more
 // accrue per wakeup), clamped to [1, kRxCoalesceMax]. The receive window
-// (256 KiB) comfortably holds the accrual either way. The old static knob
-// survives as the CHERINET_RX_COALESCE_TURNS override.
+// (256 KiB) comfortably holds the accrual either way. The window counts
+// TURNS: one census-loop iteration, i.e. one stack iteration of the
+// lockstep (CensusLeg). The old static knob survives as the
+// CHERINET_RX_COALESCE_TURNS override.
 constexpr std::uint32_t kRxCoalesceMax = 64;
 constexpr std::uint32_t kRxCoalesceStart = 8;
 
@@ -913,7 +1009,7 @@ struct RxDrainPacer {
   }
 };
 
-/// The measured receive loop both RX-census scenarios share. The readiness
+/// The measured receive loop of the RX census. The readiness
 /// gate (epoll_wait / event-ring pop + accept) stays OUTSIDE the measured
 /// envelope, mirroring census_write_loop: the envelope prices exactly what
 /// one productive receive iteration costs the application. v1 envelopes
@@ -1038,116 +1134,29 @@ std::uint64_t census_recv_loop(apps::FfOps& ops, iv::MuslLibc& libc,
 RxCensus run_ffrecv_rx_census(ScenarioKind kind, std::uint64_t total_bytes,
                               bool zero_copy, const TestbedOptions& opt) {
   RxCensus out;
-  const sim::CostModel price = sim::CostModel::morello();
-  const double mib = static_cast<double>(total_bytes) / (1024.0 * 1024.0);
+  if (!census_kind(kind)) return out;
 
+  // Scenario 2: the receive side lives across the compartment boundary;
+  // the zero-copy path's loans and event batches are exactly what keeps
+  // the app from crossing per packet.
   MorelloTestbed tb(opt);
-  auto& iv = tb.intravisor();
-  auto& clock = tb.clock();
-  auto& arb = tb.arbiter();
-  std::atomic<bool> stop{false};
-  const InstanceConfig icfg = tb.morello_cfg(0);
-
-  const auto sample_stack = [&out](fstack::FfStack& st) {
-    out.copied_bytes = st.rx_stats().copied_bytes;
-    out.zc_loans = st.api_stats().zc_rx_loans;
-    out.zc_recycles = st.api_stats().zc_rx_recycles;
-  };
-
-  if (kind == ScenarioKind::kScenario1) {
-    arb.expect_participants(2);
-    PeerHost& peer = tb.make_peer(0);
-    peer.run_iperf_client(MorelloTestbed::morello_ip(0), kIperfPort,
-                          total_bytes);
-    peer.start();
-    Scenario1Cvm s1(iv, tb.card(), 0, icfg, "cVM1-rx-census");
-    CensusProbes probes;
-    probes.tramp_now = [&] { return s1.cvm().trampoline().crossings(); };
-    s1.cvm().start([&] {
-      FullStackInstance& inst = s1.instance();
-      const machine::CapView rx_buf = s1.alloc(4096);
-      const machine::CapView ring_mem =
-          s1.alloc(fstack::FfEventRing::bytes_for(kRxRingSlots));
-      sim::Participant part(arb, "rx-census-probe");
-      out.bytes = census_recv_loop(
-          s1.ops(), s1.libc(), rx_buf, ring_mem, total_bytes, zero_copy,
-          &out.api_calls, &probes, [&](bool made_progress) {
-            const std::uint64_t token = part.prepare();
-            const bool progress = inst.run_once() || made_progress;
-            if (!progress) {
-              part.wait(token, capped_deadline(inst.next_deadline(),
-                                               clock.now(), kProbeHeartbeat));
-            }
-            return true;
-          });
-      for (int i = 0; i < 10000; ++i) {
-        if (!inst.run_once()) break;  // drain FIN exchange
-      }
-      sample_stack(inst.stack());
-    });
-    s1.cvm().join();
-    peer.request_stop();
-    peer.join();
-    out.crossings = probes.tramp_crossings;
-    out.modeled_ns_per_mib =
-        mib > 0 ? static_cast<double>(out.crossings) *
-                      static_cast<double>(price.trampoline_crossing().count()) /
-                      mib
-                : 0.0;
-    return out;
-  }
-
-  if (kind != ScenarioKind::kScenario2Uncontended) return out;
-
-  // ---- Scenario 2 (uncontended): the receive side lives across the
-  // compartment boundary; the zero-copy path's loans and event batches are
-  // exactly what keeps the app from crossing per packet.
-  arb.expect_participants(3);
-  PeerHost& peer = tb.make_peer(0);
-  peer.run_iperf_client(MorelloTestbed::morello_ip(0), kIperfPort,
-                        total_bytes);
-  peer.start();
-  iv::CVM& cvm1 = iv.create_cvm("cVM1", 96u << 20);
-  FullStackInstance inst(tb.card(), 0, cvm1.heap(), clock, icfg);
-  Scenario2Service svc(iv, cvm1, inst);
-  cvm1.start([&] { svc.run_loop(stop, arb); });
-
-  iv::CVM& app = iv.create_cvm("cVM2-rx-census", 16u << 20);
-  auto ops = svc.make_proxy_ops(app);
-  CensusProbes probes;
-  probes.entry_now = [&] { return iv.entries().crossings(); };
-  probes.tramp_now = [&] { return app.trampoline().crossings(); };
-  app.start([&] {
-    const machine::CapView rx_buf = app.alloc(4096);
+  CensusLeg leg(tb, kind, tb.morello_cfg(0), "rx-census");
+  leg.peer().run_iperf_client(MorelloTestbed::morello_ip(0), kIperfPort,
+                              total_bytes);
+  leg.run([&] {
+    const machine::CapView rx_buf = leg.alloc(4096);
     const machine::CapView ring_mem =
-        app.alloc(fstack::FfEventRing::bytes_for(kRxRingSlots));
-    sim::Participant part(arb, "rx-census-probe");
-    out.bytes = census_recv_loop(
-        *ops, app.libc(), rx_buf, ring_mem, total_bytes, zero_copy,
-        &out.api_calls, &probes, [&](bool made_progress) {
-          const std::uint64_t token = part.prepare();
-          if (!made_progress) part.wait(token, clock.now() + kProbeHeartbeat);
-          return true;
-        });
+        leg.alloc(fstack::FfEventRing::bytes_for(kRxRingSlots));
+    out.bytes = census_recv_loop(leg.ops(), leg.libc(), rx_buf, ring_mem,
+                                 total_bytes, zero_copy, &out.api_calls,
+                                 &leg.probes(), leg.turn());
   });
-  app.join();
-  stop.store(true);
-  arb.kick();
-  cvm1.join();
-  peer.request_stop();
-  peer.join();
-  sample_stack(inst.stack());
-
-  const double entry_cost = static_cast<double>(
-      price.trampoline_crossing().count() + price.domain_switch_extra.count());
-  out.crossings = probes.entry_crossings + probes.tramp_crossings;
-  out.modeled_ns_per_mib =
-      mib > 0
-          ? (static_cast<double>(probes.entry_crossings) * entry_cost +
-             static_cast<double>(probes.tramp_crossings) *
-                 static_cast<double>(price.trampoline_crossing().count())) /
-                mib
-          : 0.0;
+  fstack::FfStack& st = leg.stack();
+  out.copied_bytes = st.rx_stats().copied_bytes;
+  out.zc_loans = st.api_stats().zc_rx_loans;
+  out.zc_recycles = st.api_stats().zc_rx_recycles;
+  out.crossings = leg.crossings();
+  out.modeled_ns_per_mib = leg.modeled_ns_per_mib(total_bytes);
   return out;
 }
 
@@ -1463,18 +1472,10 @@ std::uint64_t uring_rx_loop(apps::FfOps& ops,
 UringCensus run_uring_tx_census(ScenarioKind kind, std::uint64_t total_bytes,
                                 const TestbedOptions& opt, bool zero_copy) {
   UringCensus out;
+  if (!census_kind(kind)) return out;
   const std::size_t wsize = 1448;
-  const sim::CostModel price = sim::CostModel::morello();
-  const double mib = static_cast<double>(total_bytes) / (1024.0 * 1024.0);
-  const std::size_t ring_bytes =
-      fstack::FfUring::bytes_for(kUringSqSlots, kUringCqSlots);
 
   MorelloTestbed tb(opt);
-  auto& iv = tb.intravisor();
-  auto& clock = tb.clock();
-  auto& arb = tb.arbiter();
-  std::atomic<bool> stop{false};
-
   // Like the v1/v2 census: the send buffer holds the whole volume so the
   // comparison prices the per-call fixed costs, not backpressure. (On the
   // zc path the in-flight volume is additionally pool-bounded: alloc
@@ -1484,224 +1485,56 @@ UringCensus run_uring_tx_census(ScenarioKind kind, std::uint64_t total_bytes,
       std::max<std::size_t>(icfg.tcp.sndbuf_bytes, total_bytes + (64u << 10));
 
   const auto tx_loop = zero_copy ? uring_zc_tx_loop : uring_tx_loop;
-  const auto sample_tx = [&out](fstack::FfStack& st) {
-    out.tx_copied_bytes = st.tx_stats().copied_bytes;
-    out.tx_zc_bytes = st.tx_stats().zc_bytes;
-    out.tx_emit_payload_reads = st.tx_stats().emit_payload_reads;
-    out.stack_checksum_bytes = st.tx_stats().stack_checksum_bytes;
-    out.stack_csum_drops = st.stats().csum_errors;
-    const updk::EthStats es = st.dev().stats();
-    out.tso_frames = es.tso_frames;
-    out.tso_bytes = es.tso_bytes;
-    out.tx_descs = es.tx_segs;
-    out.tx_wire_bytes = es.obytes;
-  };
-  const auto sample_wire = [&out, &tb]() {
-    out.rx_crc_errors = tb.card().port(0).stats().rx_crc_errors;
-    out.wire_corrupts = tb.wire(0).stats(1).impair_corrupts;
-  };
-  CensusProbes probes;
-  if (kind == ScenarioKind::kScenario1) {
-    arb.expect_participants(2);
-    PeerHost& peer = tb.make_peer(0);
-    peer.serve_iperf(kIperfPort, 1);
-    peer.start();
-    Scenario1Cvm s1(iv, tb.card(), 0, icfg, "cVM1-uring-census");
-    probes.tramp_now = [&] { return s1.cvm().trampoline().crossings(); };
-    s1.cvm().start([&] {
-      FullStackInstance& inst = s1.instance();
-      const machine::CapView buf = s1.alloc(wsize);
-      const machine::CapView ring_mem = s1.alloc(ring_bytes);
-      sim::Participant part(arb, "uring-census-probe");
-      out.bytes = tx_loop(
-          s1.ops(), buf, ring_mem, total_bytes, wsize, &out, &probes,
-          [&](bool did) {
-            const std::uint64_t token = part.prepare();
-            const bool progress = inst.run_once() || did;
-            if (!progress) {
-              part.wait(token, capped_deadline(inst.next_deadline(),
-                                               clock.now(), kProbeHeartbeat));
-            }
-            return true;
-          });
-      for (int i = 0; i < 10000; ++i) {
-        if (!inst.run_once()) break;  // drain FIN exchange
-      }
-      sample_tx(inst.stack());
-    });
-    s1.cvm().join();
-    peer.request_stop();
-    peer.join();
-    sample_wire();
-    out.crossings = probes.entry_crossings + probes.tramp_crossings;
-    out.modeled_ns_per_mib =
-        mib > 0 ? static_cast<double>(out.crossings) *
-                      static_cast<double>(price.trampoline_crossing().count()) /
-                      mib
-                : 0.0;
-    return out;
-  }
-
-  if (kind != ScenarioKind::kScenario2Uncontended) return out;
-
-  arb.expect_participants(3);
-  PeerHost& peer = tb.make_peer(0);
-  peer.serve_iperf(kIperfPort, 1);
-  peer.start();
-  iv::CVM& cvm1 = iv.create_cvm("cVM1", 96u << 20);
-  FullStackInstance inst(tb.card(), 0, cvm1.heap(), clock, icfg);
-  Scenario2Service svc(iv, cvm1, inst);
-  cvm1.start([&] { svc.run_loop(stop, arb); });
-
-  iv::CVM& app = iv.create_cvm("cVM2-uring-census", 16u << 20);
-  auto ops = svc.make_proxy_ops(app);
-  probes.entry_now = [&] { return iv.entries().crossings(); };
-  probes.tramp_now = [&] { return app.trampoline().crossings(); };
-  app.start([&] {
-    const machine::CapView buf = app.alloc(wsize);
-    const machine::CapView ring_mem = app.alloc(ring_bytes);
-    sim::Participant part(arb, "uring-census-probe");
-    out.bytes = tx_loop(*ops, buf, ring_mem, total_bytes, wsize, &out,
-                        &probes, [&](bool did) {
-                          const std::uint64_t token = part.prepare();
-                          if (!did) {
-                            part.wait(token, clock.now() + kProbeHeartbeat);
-                          }
-                          return true;
-                        });
+  CensusLeg leg(tb, kind, icfg, "uring-census");
+  leg.peer().serve_iperf(kIperfPort, 1);
+  leg.run([&] {
+    const machine::CapView buf = leg.alloc(wsize);
+    const machine::CapView ring_mem =
+        leg.alloc(fstack::FfUring::bytes_for(kUringSqSlots, kUringCqSlots));
+    out.bytes = tx_loop(leg.ops(), buf, ring_mem, total_bytes, wsize, &out,
+                        &leg.probes(), leg.turn());
   });
-  app.join();
-  stop.store(true);
-  arb.kick();
-  cvm1.join();
-  peer.request_stop();
-  peer.join();
-  sample_tx(inst.stack());
-  sample_wire();
-
-  const double entry_cost = static_cast<double>(
-      price.trampoline_crossing().count() + price.domain_switch_extra.count());
-  out.crossings = probes.entry_crossings + probes.tramp_crossings;
-  out.modeled_ns_per_mib =
-      mib > 0
-          ? (static_cast<double>(probes.entry_crossings) * entry_cost +
-             static_cast<double>(probes.tramp_crossings) *
-                 static_cast<double>(price.trampoline_crossing().count())) /
-                mib
-          : 0.0;
+  fstack::FfStack& st = leg.stack();
+  out.tx_copied_bytes = st.tx_stats().copied_bytes;
+  out.tx_zc_bytes = st.tx_stats().zc_bytes;
+  out.tx_emit_payload_reads = st.tx_stats().emit_payload_reads;
+  out.stack_checksum_bytes = st.tx_stats().stack_checksum_bytes;
+  out.stack_csum_drops = st.stats().csum_errors;
+  const updk::EthStats es = st.dev().stats();
+  out.tso_frames = es.tso_frames;
+  out.tso_bytes = es.tso_bytes;
+  out.tx_descs = es.tx_segs;
+  out.tx_wire_bytes = es.obytes;
+  out.rx_crc_errors = tb.card().port(0).stats().rx_crc_errors;
+  out.wire_corrupts = tb.wire(0).stats(1).impair_corrupts;
+  out.crossings = leg.crossings();
+  out.modeled_ns_per_mib = leg.modeled_ns_per_mib(total_bytes);
   return out;
 }
 
 UringCensus run_uring_rx_census(ScenarioKind kind, std::uint64_t total_bytes,
                                 const TestbedOptions& opt) {
   UringCensus out;
-  const sim::CostModel price = sim::CostModel::morello();
-  const double mib = static_cast<double>(total_bytes) / (1024.0 * 1024.0);
-  const std::size_t ring_bytes =
-      fstack::FfUring::bytes_for(kUringSqSlots, kUringCqSlots);
+  if (!census_kind(kind)) return out;
 
   MorelloTestbed tb(opt);
-  auto& iv = tb.intravisor();
-  auto& clock = tb.clock();
-  auto& arb = tb.arbiter();
-  std::atomic<bool> stop{false};
-  const InstanceConfig icfg = tb.morello_cfg(0);
-
+  CensusLeg leg(tb, kind, tb.morello_cfg(0), "uring-rx");
+  leg.peer().run_iperf_client(MorelloTestbed::morello_ip(0), kIperfPort,
+                              total_bytes);
+  leg.run([&] {
+    const machine::CapView ring_mem =
+        leg.alloc(fstack::FfUring::bytes_for(kUringSqSlots, kUringCqSlots));
+    out.bytes = uring_rx_loop(leg.ops(), ring_mem, total_bytes, &out,
+                              &leg.probes(), leg.turn());
+  });
   // Lossy-wire instrumentation: FCS rejects at the Morello port must match
   // the wire's peer-egress corruption census one for one, and the stack's
   // checksum drop count says whether anything leaked past FCS.
-  const auto sample_rx = [&out, &tb](fstack::FfStack& st) {
-    out.stack_csum_drops = st.stats().csum_errors;
-    out.rx_crc_errors = tb.card().port(0).stats().rx_crc_errors;
-    out.wire_corrupts = tb.wire(0).stats(1).impair_corrupts;
-  };
-  CensusProbes probes;
-  if (kind == ScenarioKind::kScenario1) {
-    arb.expect_participants(2);
-    PeerHost& peer = tb.make_peer(0);
-    peer.run_iperf_client(MorelloTestbed::morello_ip(0), kIperfPort,
-                          total_bytes);
-    peer.start();
-    Scenario1Cvm s1(iv, tb.card(), 0, icfg, "cVM1-uring-rx");
-    probes.tramp_now = [&] { return s1.cvm().trampoline().crossings(); };
-    s1.cvm().start([&] {
-      FullStackInstance& inst = s1.instance();
-      const machine::CapView ring_mem = s1.alloc(ring_bytes);
-      sim::Participant part(arb, "uring-rx-probe");
-      out.bytes = uring_rx_loop(
-          s1.ops(), ring_mem, total_bytes, &out, &probes, [&](bool did) {
-            const std::uint64_t token = part.prepare();
-            const bool progress = inst.run_once() || did;
-            if (!progress) {
-              part.wait(token, capped_deadline(inst.next_deadline(),
-                                               clock.now(), kProbeHeartbeat));
-            }
-            return true;
-          });
-      for (int i = 0; i < 10000; ++i) {
-        if (!inst.run_once()) break;
-      }
-    });
-    s1.cvm().join();
-    peer.request_stop();
-    peer.join();
-    sample_rx(s1.instance().stack());
-    out.crossings = probes.entry_crossings + probes.tramp_crossings;
-    out.modeled_ns_per_mib =
-        mib > 0 ? static_cast<double>(out.crossings) *
-                      static_cast<double>(price.trampoline_crossing().count()) /
-                      mib
-                : 0.0;
-    return out;
-  }
-
-  if (kind != ScenarioKind::kScenario2Uncontended) return out;
-
-  arb.expect_participants(3);
-  PeerHost& peer = tb.make_peer(0);
-  peer.run_iperf_client(MorelloTestbed::morello_ip(0), kIperfPort,
-                        total_bytes);
-  peer.start();
-  iv::CVM& cvm1 = iv.create_cvm("cVM1", 96u << 20);
-  FullStackInstance inst(tb.card(), 0, cvm1.heap(), clock, icfg);
-  Scenario2Service svc(iv, cvm1, inst);
-  cvm1.start([&] { svc.run_loop(stop, arb); });
-
-  iv::CVM& app = iv.create_cvm("cVM2-uring-rx", 16u << 20);
-  auto ops = svc.make_proxy_ops(app);
-  probes.entry_now = [&] { return iv.entries().crossings(); };
-  probes.tramp_now = [&] { return app.trampoline().crossings(); };
-  app.start([&] {
-    const machine::CapView ring_mem = app.alloc(ring_bytes);
-    sim::Participant part(arb, "uring-rx-probe");
-    out.bytes = uring_rx_loop(*ops, ring_mem, total_bytes, &out, &probes,
-                              [&](bool did) {
-                                const std::uint64_t token = part.prepare();
-                                if (!did) {
-                                  part.wait(token,
-                                            clock.now() + kProbeHeartbeat);
-                                }
-                                return true;
-                              });
-  });
-  app.join();
-  stop.store(true);
-  arb.kick();
-  cvm1.join();
-  peer.request_stop();
-  peer.join();
-  sample_rx(inst.stack());
-
-  const double entry_cost = static_cast<double>(
-      price.trampoline_crossing().count() + price.domain_switch_extra.count());
-  out.crossings = probes.entry_crossings + probes.tramp_crossings;
-  out.modeled_ns_per_mib =
-      mib > 0
-          ? (static_cast<double>(probes.entry_crossings) * entry_cost +
-             static_cast<double>(probes.tramp_crossings) *
-                 static_cast<double>(price.trampoline_crossing().count())) /
-                mib
-          : 0.0;
+  out.stack_csum_drops = leg.stack().stats().csum_errors;
+  out.rx_crc_errors = tb.card().port(0).stats().rx_crc_errors;
+  out.wire_corrupts = tb.wire(0).stats(1).impair_corrupts;
+  out.crossings = leg.crossings();
+  out.modeled_ns_per_mib = leg.modeled_ns_per_mib(total_bytes);
   return out;
 }
 

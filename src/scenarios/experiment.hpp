@@ -200,6 +200,17 @@ struct LatencyOutcome {
 // API v2 crossing census: how many compartment crossings does it take to
 // move a byte volume through ff_write (batch = 1, the v1 path) versus
 // ff_writev (batch > 1)?
+//
+// Every census leg below (TX, RX and both uring directions) runs in
+// virtual-time LOCKSTEP on the app compartment's thread: after each census
+// loop iteration the stack runs one iteration (Scenario 2: inside cVM1,
+// under the service's compartment mutex), then the peer host one, and the
+// virtual clock advances only after a round in which nobody progressed (at
+// most 16 rounds per virtual instant). The counts therefore depend on seed
+// and virtual time only, never on host thread scheduling. The app's calls
+// still cross their real trampolines and sealed entries and take the real
+// mutex — uncontended, since mutex contention is what Fig. 6
+// (run_ffwrite_latency) and bench_ablation_locking measure, not the census.
 // ---------------------------------------------------------------------------
 
 struct CrossingCensus {
@@ -232,7 +243,10 @@ struct CrossingCensus {
 struct RxCensus {
   std::uint64_t bytes = 0;      // payload bytes delivered to the app
   std::uint64_t api_calls = 0;  // measured receive envelopes issued
-  std::uint64_t crossings = 0;  // crossings attributed to those envelopes
+  /// Crossings inside those envelopes, as CrossingCensus::crossings counts
+  /// them: the app's trampolined clock_gettime reads plus (Scenario 2) the
+  /// sealed-entry ff_* jumps.
+  std::uint64_t crossings = 0;
   /// Bytes the stack copied on the receive side (chain lazy copy, UDP copy
   /// out, zc bounces) — the zero-copy gate requires exactly 0.
   std::uint64_t copied_bytes = 0;
@@ -244,7 +258,9 @@ struct RxCensus {
 /// Receive `total_bytes` of TCP payload from the peer through one endpoint
 /// of `kind` (kScenario1 or kScenario2Uncontended). zero_copy = false is
 /// the per-call v1 path (epoll_wait + ff_read per envelope); true is the
-/// multishot + ff_zc_recv/ff_zc_recycle_batch pipeline.
+/// multishot + ff_zc_recv/ff_zc_recycle_batch pipeline, which drains one
+/// loan burst per adaptive coalescing window of TURNS — one turn being one
+/// stack iteration of the lockstep.
 [[nodiscard]] RxCensus run_ffrecv_rx_census(
     ScenarioKind kind, std::uint64_t total_bytes, bool zero_copy,
     const TestbedOptions& opt = TestbedOptions{});

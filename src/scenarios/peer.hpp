@@ -1,12 +1,14 @@
 // PeerHost: the external load-generator machine on the far end of a wire
 // (the iperf counterpart the Morello node talks to). Runs its own NIC model
-// (no shared-bus constraint — only the Morello card is PCI-limited), its
-// own stack instance, and a polling thread registered with the time
-// arbiter.
+// (no shared-bus constraint — only the Morello card is PCI-limited) and its
+// own stack instance, either on a polling thread registered with the time
+// arbiter (start/join) or stepped inline by a lockstep caller
+// (step/next_deadline).
 #pragma once
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -39,6 +41,15 @@ class PeerHost {
   void start();
   void request_stop() { stop_.store(true, std::memory_order_release); }
   void join();
+
+  /// One polling-loop iteration: the stack turn, then the workload apps.
+  /// Returns true when anything progressed. For lockstep callers that
+  /// never start() the thread.
+  bool step();
+  /// Earliest virtual instant at which the peer has work of its own.
+  [[nodiscard]] std::optional<sim::Ns> next_deadline() const {
+    return inst_->next_deadline();
+  }
 
   [[nodiscard]] bool workload_finished() const;
   [[nodiscard]] const apps::IperfServer* server() const {

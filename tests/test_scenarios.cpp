@@ -1,6 +1,7 @@
 // Scenario-level integration: the threaded testbed, all five Table II
 // configurations at reduced volume, the ff_write latency probes, the
-// cross-compartment proxy, and compartment-escape containment (Fig. 3).
+// cross-compartment proxy, compartment-escape containment (Fig. 3), and the
+// repeatability of the lockstep crossing census.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -404,6 +405,37 @@ TEST(Containment, AppCvmEscapeAttemptIsContainedFig3) {
   EXPECT_NE(console.find("CAP out-of-bounds"), std::string::npos);
   // cVM1's stack remains functional: its loop still runs.
   EXPECT_NO_THROW(inst.run_once());
+}
+
+// The crossing censuses run in virtual-time lockstep: the same seed must
+// give the same counts run after run, whatever the host scheduler does.
+TEST(Census, Scenario2CountsRepeatExactly) {
+  constexpr std::uint64_t kBytes = 512 * 1024;
+  const auto rx = [&] {
+    return run_ffrecv_rx_census(ScenarioKind::kScenario2Uncontended, kBytes,
+                                true, fast_options());
+  };
+  const auto uring = [&] {
+    return run_uring_rx_census(ScenarioKind::kScenario2Uncontended, kBytes,
+                               fast_options());
+  };
+  const RxCensus a = rx();
+  const RxCensus b = rx();
+  EXPECT_EQ(a.bytes, kBytes);
+  EXPECT_EQ(a.bytes, b.bytes);
+  EXPECT_EQ(a.api_calls, b.api_calls);
+  EXPECT_EQ(a.crossings, b.crossings);
+  EXPECT_EQ(a.zc_loans, b.zc_loans);
+  EXPECT_EQ(a.zc_recycles, b.zc_recycles);
+
+  const UringCensus c = uring();
+  const UringCensus d = uring();
+  EXPECT_EQ(c.bytes, kBytes);
+  EXPECT_EQ(c.bytes, d.bytes);
+  EXPECT_EQ(c.crossings, d.crossings);
+  EXPECT_EQ(c.sqes, d.sqes);
+  EXPECT_EQ(c.cqes, d.cqes);
+  EXPECT_EQ(c.doorbells, d.doorbells);
 }
 
 TEST(ScenarioNames, Printable) {
